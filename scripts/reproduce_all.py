@@ -44,6 +44,8 @@ from repro.cli import add_backend_flags, backend_selection
 
 SEED = 42
 ENVIRONMENTS = 150
+#: Table 4's correlation study needs at least three environments.
+MIN_ENVIRONMENTS = 3
 
 
 def parse_args() -> argparse.Namespace:
@@ -97,7 +99,14 @@ def parse_args() -> argparse.Namespace:
         "metrics.prom, trace.jsonl) into this directory "
         "(default with --trace: <results_dir>/obs)",
     )
-    return parser.parse_args()
+    args = parser.parse_args()
+    if args.envs < MIN_ENVIRONMENTS:
+        # Checked here, not after the campaign has run.
+        parser.error(
+            f"--envs must be at least {MIN_ENVIRONMENTS}: the Table 4 "
+            "correlation needs that many environments"
+        )
+    return args
 
 
 def main() -> None:
@@ -227,8 +236,9 @@ def main() -> None:
             f"(.461), PTE-baseline "
             f"{fig5.score(EnvironmentKind.PTE_BASELINE):.3f} (.727), "
             f"PTE {fig5.score(EnvironmentKind.PTE):.3f} (.836)",
-            f"PTE/SITE death-rate ratio: {pte_rate / site_rate:,.0f}x "
-            f"(paper 2731x)",
+            "PTE/SITE death-rate ratio: "
+            + (f"{pte_rate / site_rate:,.0f}x" if site_rate else "n/a")
+            + " (paper 2731x)",
             f"PTE score at 64s/99.999%: "
             f"{fig6.score_at(EnvironmentKind.PTE, 0.99999, 64.0):.2f} "
             f"(paper 0.82)",

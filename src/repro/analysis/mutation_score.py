@@ -62,18 +62,16 @@ def score_cell(
     mutants = _mutant_names(suite, mutator)
     if not mutants:
         raise AnalysisError("no mutants to aggregate over")
-    killed = 0
-    total = 0
-    rates: List[float] = []
-    for device in devices:
-        for mutant in mutants:
-            total += 1
-            if result.killed(mutant, device):
-                killed += 1
-            rates.append(result.best_rate(mutant, device))
+    killed_pairs, best_rates = result.pair_summary(mutants, devices)
+    killed = int(killed_pairs.sum())
+    # The builtin sum over the device-major list, not np.mean: from
+    # Python 3.12 on, sum() is compensated and the two can differ in
+    # the last digit.
+    rates = best_rates.ravel().tolist()
+    total = len(rates)
     return ScoreCell(
         mutation_score=killed / total,
-        average_death_rate=sum(rates) / len(rates),
+        average_death_rate=sum(rates) / total,
         killed=killed,
         total=total,
     )

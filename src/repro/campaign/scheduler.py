@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -280,21 +281,23 @@ class CampaignScheduler:
         self, units: List[WorkUnit], pending: List[int]
     ) -> None:
         state = build_state(self.spec, self.config.fault_plan)
-        queue = list(pending)
-        while queue:
-            index = queue.pop(0)
-            outcome = execute_unit(
-                state, index, self.config.unit_timeout
-            )
-            # Serial execution shares the worker module's in-process
-            # registry; drain after every unit so progress lines see
-            # live totals.
+        queue = deque(pending)
+        try:
+            while queue:
+                index = queue.popleft()
+                outcome = execute_unit(
+                    state, index, self.config.unit_timeout
+                )
+                retry = self._absorb(units, outcome)
+                if retry is not None:
+                    self._backoff(retry)
+                    queue.append(retry)
+                self._progress(drain=True)
+        finally:
+            # Serial execution records unit telemetry in the worker
+            # module's in-process registry; progress lines drain it
+            # when they print, and this drains the rest.
             self.metrics.merge_worker_snapshot(drain_unit_metrics())
-            retry = self._absorb(units, outcome)
-            if retry is not None:
-                self._backoff(retry)
-                queue.append(retry)
-            self._progress()
         obs.publish_cache_metrics()
 
     def _run_pool(
@@ -494,13 +497,18 @@ class CampaignScheduler:
         exponent = max(0, self._attempts.get(index, 1) - 1)
         time.sleep(self.config.retry_backoff * (2.0 ** exponent))
 
-    def _progress(self) -> None:
+    def _progress(self, drain: bool = False) -> None:
+        """Log a progress line when one is due; with ``drain``, fold
+        the in-process unit telemetry in first, so the line sees live
+        totals."""
         interval = self.config.progress_interval
         if interval is None:
             return
         now = time.monotonic()
         if now - self._last_progress >= interval:
             self._last_progress = now
+            if drain:
+                self.metrics.merge_worker_snapshot(drain_unit_metrics())
             self.log(self.metrics.progress_line())
 
     # -- assembly ----------------------------------------------------------

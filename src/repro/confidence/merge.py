@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.confidence.reproducibility import ceiling_rate, score_at_budget
 from repro.env.environment import TestingEnvironment
 from repro.env.tuning import TuningResult
@@ -42,6 +44,16 @@ class MergeDecision:
         return score_at_budget(self.rates.get(device, 0.0), budget_seconds)
 
 
+def _checked_ceiling(
+    reproducibility_target: float, budget_seconds: float
+) -> float:
+    if not 0.0 < reproducibility_target < 1.0:
+        raise AnalysisError("reproducibility target must be in (0, 1)")
+    if budget_seconds <= 0.0:
+        raise AnalysisError("time budget must be positive")
+    return ceiling_rate(reproducibility_target, budget_seconds)
+
+
 def merge_environments(
     test_name: str,
     environments: Sequence[TestingEnvironment],
@@ -64,11 +76,7 @@ def merge_environments(
         The chosen environment (or ``None`` if no environment reaches
         the ceiling rate on any device) plus its statistics.
     """
-    if not 0.0 < reproducibility_target < 1.0:
-        raise AnalysisError("reproducibility target must be in (0, 1)")
-    if budget_seconds <= 0.0:
-        raise AnalysisError("time budget must be positive")
-    ceiling = ceiling_rate(reproducibility_target, budget_seconds)
+    ceiling = _checked_ceiling(reproducibility_target, budget_seconds)
 
     chosen: Optional[TestingEnvironment] = None
     chosen_count = 0
@@ -119,26 +127,82 @@ def merge_suite(
     reproducibility_target: float,
     budget_seconds: float,
 ) -> List[MergeDecision]:
-    """Run Algorithm 1 for every test of a tuning result."""
+    """Run Algorithm 1 for every test of a tuning result.
+
+    One pass over the result's dense rate grid decides every test.
+    Each decision equals :func:`merge_environments` (the reference)
+    over ``result.environments`` and ``result.device_names``: among
+    environments reaching the ceiling on at least one device, the
+    most devices at the ceiling win, then the largest minimum non-zero
+    rate, then the earliest environment.
+    """
     from repro import obs
 
-    rate = tuning_rate_function(result)
+    names = list(test_names)
     rec = obs.recorder()
-    with rec.span("confidence.merge_suite", tests=len(test_names)):
-        decisions = [
-            merge_environments(
-                test_name,
-                result.environments,
-                result.device_names,
-                rate,
-                reproducibility_target,
-                budget_seconds,
-            )
-            for test_name in test_names
-        ]
+    with rec.span("confidence.merge_suite", tests=len(names)):
+        decisions = (
+            _merge_grid(result, names, reproducibility_target, budget_seconds)
+            if names
+            else []
+        )
     rec.counter_inc(
         "repro_confidence_merges_total", len(decisions)
     )
+    return decisions
+
+
+def _merge_grid(
+    result: TuningResult,
+    test_names: List[str],
+    reproducibility_target: float,
+    budget_seconds: float,
+) -> List[MergeDecision]:
+    ceiling = _checked_ceiling(reproducibility_target, budget_seconds)
+    rates = result.rate_grid(test_names)  # [test, device, environment]
+    # Per [test, environment]: devices at the ceiling, and the minimum
+    # non-zero rate (the tie-break).
+    counts = (rates >= ceiling).sum(axis=1)
+    lowest = np.where(rates > 0.0, rates, np.inf).min(
+        axis=1, initial=np.inf
+    )
+    # Per test: the best count, then the best minimum among the
+    # environments that reach it; the first winner is the one the
+    # strict-improvement scan keeps.
+    most = counts.max(axis=1, initial=0)
+    tied = counts == most[:, None]
+    best_lowest = np.where(tied, lowest, -np.inf).max(
+        axis=1, initial=-np.inf
+    )
+    winners = tied & (lowest == best_lowest[:, None])
+    environments = result.environments
+    devices = result.device_names
+    decisions: List[MergeDecision] = []
+    for row, test_name in enumerate(test_names):
+        # Algorithm 1 starts from "no environment, no device at the
+        # ceiling", which only an environment with some device at the
+        # ceiling improves on.
+        if most[row] == 0:
+            decisions.append(
+                MergeDecision(
+                    test_name=test_name,
+                    environment=None,
+                    devices_at_ceiling=0,
+                    min_nonzero_rate=math.inf,
+                    rates={},
+                )
+            )
+            continue
+        column = int(winners[row].argmax())
+        decisions.append(
+            MergeDecision(
+                test_name=test_name,
+                environment=environments[column],
+                devices_at_ceiling=int(most[row]),
+                min_nonzero_rate=float(lowest[row, column]),
+                rates=dict(zip(devices, rates[row, :, column].tolist())),
+            )
+        )
     return decisions
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.env.environment import (
     EnvironmentKind,
     TestingEnvironment,
@@ -29,7 +31,16 @@ RunKey = Tuple[str, str, int]  # (test, device, env_key)
 
 @dataclass
 class TuningResult:
-    """All runs of one tuning experiment, with fast lookups."""
+    """All runs of one tuning experiment, with fast lookups.
+
+    Construction also lays the runs out densely: the run of test ``t``
+    on device ``d`` in environment ``e`` sits at ``[t, d, e]`` of
+    :attr:`kills` and :attr:`rates`, on the axes :attr:`test_names` ×
+    :attr:`device_names` × :attr:`environments`, and :attr:`present`
+    marks the cells that hold a run.  The aggregations of Sec. 5 are
+    reductions over this view, so ``runs`` must not change after
+    construction.
+    """
 
     kind: EnvironmentKind
     runs: List[TestRun]
@@ -38,34 +49,93 @@ class TuningResult:
     #: from archives that predate backend recording).
     backend: Optional[str] = None
     _index: Dict[RunKey, TestRun] = field(default_factory=dict, repr=False)
+    _test_names: Tuple[str, ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _device_names: Tuple[str, ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _environments: Tuple[TestingEnvironment, ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _test_pos: Dict[str, int] = field(init=False, repr=False, compare=False)
+    _device_pos: Dict[str, int] = field(
+        init=False, repr=False, compare=False
+    )
+    #: Kill counts ``[test, device, environment]``; 0 where no run.
+    kills: np.ndarray = field(init=False, repr=False, compare=False)
+    #: Death rates ``[test, device, environment]``; 0.0 where no run.
+    rates: np.ndarray = field(init=False, repr=False, compare=False)
+    #: Which cells of :attr:`kills` and :attr:`rates` hold a run.
+    present: np.ndarray = field(init=False, repr=False, compare=False)
+    #: Per (device, test): killed in some environment / the best rate.
+    #: One padding row and column (never killed, rate 0.0) stand for
+    #: names absent from the result, which :meth:`pair_summary` maps
+    #: to index -1.
+    _pair_killed: np.ndarray = field(init=False, repr=False, compare=False)
+    _pair_best: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        devices: Dict[str, int] = {}
+        environments: Dict[int, TestingEnvironment] = {}
         for run in self.runs:
             key = (run.test_name, run.device_name, run.environment.env_key)
             if key in self._index:
                 raise AnalysisError(f"duplicate run for {key}")
             self._index[key] = run
+            devices.setdefault(run.device_name, len(devices))
+            environments.setdefault(key[2], run.environment)
+        self._test_names = tuple(sorted({key[0] for key in self._index}))
+        self._device_names = tuple(devices)
+        env_keys = sorted(environments)
+        self._environments = tuple(environments[key] for key in env_keys)
+        self._test_pos = {n: i for i, n in enumerate(self._test_names)}
+        self._device_pos = devices
+        env_pos = {key: i for i, key in enumerate(env_keys)}
+        cells = tuple(
+            np.array(
+                [
+                    (self._test_pos[t], devices[d], env_pos[e])
+                    for t, d, e in self._index
+                ],
+                dtype=np.intp,
+            )
+            .reshape(-1, 3)
+            .T
+        )
+        shape = (len(self._test_names), len(devices), len(env_keys))
+        self.kills = np.zeros(shape, dtype=np.int64)
+        self.kills[cells] = [run.kills for run in self.runs]
+        self.rates = np.zeros(shape)
+        self.rates[cells] = [run.rate for run in self.runs]
+        self.present = np.zeros(shape, dtype=bool)
+        self.present[cells] = True
+        best = np.where(self.present, self.rates, -np.inf).max(
+            axis=2, initial=-np.inf
+        )
+        best[~self.present.any(axis=2)] = 0.0
+        pad = ((0, 1), (0, 1))
+        self._pair_killed = np.pad((self.kills > 0).any(axis=2).T, pad)
+        self._pair_best = np.pad(best.T, pad)
+        for array in (
+            self.kills, self.rates, self.present,
+            self._pair_killed, self._pair_best,
+        ):
+            array.setflags(write=False)
 
     # -- lookups ---------------------------------------------------------
 
     @property
     def test_names(self) -> List[str]:
-        return sorted({run.test_name for run in self.runs})
+        return list(self._test_names)
 
     @property
     def device_names(self) -> List[str]:
-        seen: List[str] = []
-        for run in self.runs:
-            if run.device_name not in seen:
-                seen.append(run.device_name)
-        return seen
+        return list(self._device_names)
 
     @property
     def environments(self) -> List[TestingEnvironment]:
-        seen: Dict[int, TestingEnvironment] = {}
-        for run in self.runs:
-            seen.setdefault(run.environment.env_key, run.environment)
-        return [seen[key] for key in sorted(seen)]
+        return list(self._environments)
 
     def run_for(
         self, test_name: str, device_name: str, env_key: int
@@ -91,25 +161,52 @@ class TuningResult:
                 continue
             yield run
 
+    def rate_grid(self, test_names: Sequence[str]) -> np.ndarray:
+        """Death rates ``[test, device, environment]`` of ``test_names``.
+
+        The device and environment axes are :attr:`device_names` and
+        :attr:`environments`.  Every cell must hold a run: the first
+        missing one, in Algorithm 1's scan order (test, environment,
+        device), raises the :meth:`run_for` error.
+        """
+        if 0 in self.rates.shape[1:]:
+            return np.zeros((len(test_names),) + self.rates.shape[1:])
+        rows = [self._test_pos.get(name) for name in test_names]
+        if None in rows or not self.present[rows].all():
+            for name in test_names:
+                for environment in self._environments:
+                    for device in self._device_names:
+                        self.run_for(name, device, environment.env_key)
+        return self.rates[rows]
+
     # -- aggregations used throughout Sec. 5 --------------------------------
+
+    def pair_summary(
+        self, test_names: Sequence[str], device_names: Sequence[str]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per (device, test) pair: killed in at least one environment,
+        and the maximum death rate over all environments.
+
+        Both arrays have shape ``(len(device_names), len(test_names))``.
+        A name absent from the result has no runs, so its pairs count
+        as never killed with rate 0.0.
+        """
+        cells = np.ix_(
+            [self._device_pos.get(name, -1) for name in device_names],
+            [self._test_pos.get(name, -1) for name in test_names],
+        )
+        return self._pair_killed[cells], self._pair_best[cells]
 
     def killed(self, test_name: str, device_name: str) -> bool:
         """Was the test killed in at least one environment? (the
         definition behind the mutation score, Sec. 5.2)"""
-        return any(
-            run.killed
-            for run in self.runs_for_test(test_name, device_name)
-        )
+        killed, _ = self.pair_summary([test_name], [device_name])
+        return bool(killed[0, 0])
 
     def best_rate(self, test_name: str, device_name: str) -> float:
         """The maximum death rate over all environments."""
-        return max(
-            (
-                run.rate
-                for run in self.runs_for_test(test_name, device_name)
-            ),
-            default=0.0,
-        )
+        _, best = self.pair_summary([test_name], [device_name])
+        return float(best[0, 0])
 
     def best_environment(
         self, test_name: str, device_name: str

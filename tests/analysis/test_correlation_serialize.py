@@ -134,3 +134,95 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(AnalysisError, match="invalid JSON"):
             load_result(path)
+
+
+def edge_runs():
+    """Runs whose JSON stresses the streamed writer: names that need
+    escaping and seconds of every float class."""
+    from repro.env import pte_baseline, random_environments
+    from repro.env.runner import TestRun
+
+    environments = [pte_baseline()] + random_environments(
+        EnvironmentKind.SITE, 2, seed=9
+    )
+    names = ["MP", "Ger\u00e4t \u00fc", "\u6d4b\u8bd5\u2028", 'quote"back\\slash\n\ttab']
+    seconds = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1,
+               1.7976931348623157e308, float("inf"), float("-inf"),
+               float("nan")]
+    return [
+        TestRun(
+            test_name=names[index % len(names)],
+            device_name=names[(index + 1) % len(names)] + str(index),
+            environment=environments[index % len(environments)],
+            iterations=index,
+            instances_per_iteration=2 ** index,
+            kills=index * 3,
+            seconds=value,
+        )
+        for index, value in enumerate(seconds)
+    ]
+
+
+class TestStreamedSave:
+    """``save_result`` writes exactly ``json.dumps(..., indent=2)``."""
+
+    @pytest.mark.parametrize(
+        "runs, backend",
+        [
+            ([], None),
+            ([], "analytic"),
+            ("edge", None),
+            ("edge", "tensor ü"),
+            ("tuned", "analytic"),
+        ],
+    )
+    def test_bytes_match_indented_dumps(self, runs, backend, tmp_path):
+        import json
+
+        from repro.env.tuning import TuningResult
+
+        if runs == "edge":
+            runs = edge_runs()
+        elif runs == "tuned":
+            runs = tuning_run(
+                EnvironmentKind.SITE,
+                [make_device("amd"), make_device("intel")],
+                SUITE.mutants[:4],
+                environment_count=3,
+                seed=2,
+            ).runs
+        result = TuningResult(
+            kind=EnvironmentKind.SITE, runs=runs, backend=backend
+        )
+        path = tmp_path / "stats.json"
+        save_result(result, path)
+        expected = json.dumps(result_to_dict(result), indent=2)
+        assert path.read_bytes() == expected.encode("ascii")
+
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), parallel=st.booleans(),
+           env_key=st.integers(0, 10**6))
+    def test_environment_dict_matches_asdict(self, seed, parallel, env_key):
+        import dataclasses
+
+        import numpy as np
+
+        from repro.analysis.serialize import environment_to_dict
+        from repro.env import TestingEnvironment
+        from repro.env.parameters import random_parameters
+
+        parameters = random_parameters(
+            np.random.default_rng(seed), parallel
+        )
+        kind = EnvironmentKind.PTE if parallel else EnvironmentKind.SITE
+        environment = TestingEnvironment(kind, parameters, env_key)
+        expected = {
+            "kind": kind.value,
+            "env_key": env_key,
+            "parameters": dataclasses.asdict(parameters),
+        }
+        payload = environment_to_dict(environment)
+        assert payload == expected
+        assert list(payload["parameters"]) == list(expected["parameters"])

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import (
     Figure6,
+    ScoreCell,
     ascii_table,
     figure5,
     figure6,
@@ -15,7 +16,13 @@ from repro.analysis import (
     score_cell,
     score_matrix,
 )
-from repro.env import EnvironmentKind, tuning_run
+from repro.campaign import ExecutorConfig, paper_spec, run_campaign
+from repro.confidence import (
+    merge_environments,
+    reproducible_pairs,
+    tuning_rate_function,
+)
+from repro.env import EnvironmentKind, TuningResult, tuning_run
 from repro.errors import AnalysisError
 from repro.gpu import study_devices
 from repro.mutation import MutatorKind, default_suite
@@ -140,6 +147,136 @@ class TestFigure6:
         figure = Figure6(points=())
         with pytest.raises(AnalysisError):
             figure.score_at(EnvironmentKind.PTE, 0.95, 1.0)
+
+
+def scan_cell(result, mutants, devices):
+    """Sec. 5.2's cell by scanning every run (the reference)."""
+    killed = 0
+    rates = []
+    for device in devices:
+        for mutant in mutants:
+            runs = [
+                run for run in result.runs
+                if run.test_name == mutant and run.device_name == device
+            ]
+            killed += any(run.kills > 0 for run in runs)
+            rates.append(max((run.rate for run in runs), default=0.0))
+    return ScoreCell(
+        mutation_score=killed / len(rates),
+        average_death_rate=sum(rates) / len(rates),
+        killed=killed,
+        total=len(rates),
+    )
+
+
+def scan_figure6_score(result, target, budget):
+    """One Fig. 6 point by the verbatim Algorithm 1 over scanned axes."""
+    environments = {}
+    devices = []
+    for run in result.runs:
+        environments.setdefault(run.environment.env_key, run.environment)
+        if run.device_name not in devices:
+            devices.append(run.device_name)
+    names = sorted({run.test_name for run in result.runs})
+    decisions = [
+        merge_environments(
+            name,
+            [environments[key] for key in sorted(environments)],
+            devices,
+            tuning_rate_function(result),
+            target,
+            budget,
+        )
+        for name in names
+    ]
+    return reproducible_pairs(decisions, target, budget, len(devices))
+
+
+def without(result, drop):
+    return TuningResult(
+        kind=result.kind,
+        runs=[run for run in result.runs if not drop(run)],
+        backend=result.backend,
+    )
+
+
+class TestAgainstScanReference:
+    """Figures 5 and 6 from the dense view equal per-run scans."""
+
+    @pytest.fixture(scope="class")
+    def campaign(self):
+        spec = paper_spec(
+            tuple(mutant.name for mutant in SUITE.mutants),
+            environment_count=4,
+            seed=3,
+        )
+        return run_campaign(spec, config=ExecutorConfig(workers=1)).results
+
+    def assert_figure5_matches(self, results):
+        figure = figure5(results, SUITE)
+        groups = {"combined": [m.name for m in SUITE.mutants]}
+        for mutator in MutatorKind:
+            groups[mutator.value] = [
+                m.name for pair in SUITE.by_mutator(mutator)
+                for m in pair.mutants
+            ]
+        for kind, result in results.items():
+            devices = result.device_names
+            for group, mutants in groups.items():
+                cells = figure.cells[kind][group]
+                assert cells["all"] == scan_cell(result, mutants, devices)
+                for device in devices:
+                    assert cells[device] == scan_cell(
+                        result, mutants, [device]
+                    )
+
+    def test_figure5(self, campaign):
+        self.assert_figure5_matches(campaign)
+
+    def test_figure6(self, campaign):
+        stressed = {
+            kind: campaign[kind]
+            for kind in (EnvironmentKind.PTE, EnvironmentKind.SITE)
+        }
+        figure = figure6(stressed)
+        assert len(figure.points) == 2 * 2 * 17
+        for point in figure.points:
+            assert point.mutation_score == scan_figure6_score(
+                stressed[point.kind], point.target, point.budget_seconds
+            )
+
+    def test_partial_grid(self, campaign):
+        full = campaign[EnvironmentKind.PTE]
+        gone = full.environments[1].env_key
+        partial = without(
+            full,
+            lambda run: run.device_name == "AMD"
+            and run.environment.env_key == gone,
+        )
+        # Figure 5 counts the runs that exist ...
+        self.assert_figure5_matches({EnvironmentKind.PTE: partial})
+        # ... while Algorithm 1 needs every cell, and says which.
+        with pytest.raises(AnalysisError) as reference:
+            scan_figure6_score(partial, 0.95, 4.0)
+        with pytest.raises(AnalysisError) as dense:
+            figure6({EnvironmentKind.PTE: partial}, (4.0,), (0.95,))
+        assert str(dense.value) == str(reference.value)
+        assert "device='AMD'" in str(dense.value)
+
+    def test_absent_names(self, campaign):
+        full = campaign[EnvironmentKind.PTE]
+        absent = SUITE.mutants[0].name
+        partial = without(full, lambda run: run.test_name == absent)
+        assert absent not in partial.test_names
+        assert not partial.killed(absent, "AMD")
+        assert partial.best_rate(absent, "AMD") == 0.0
+        assert not partial.killed(SUITE.mutants[1].name, "no-such-device")
+        self.assert_figure5_matches({EnvironmentKind.PTE: partial})
+        with pytest.raises(AnalysisError, match=repr(absent)):
+            figure6(
+                {EnvironmentKind.PTE: partial}, (4.0,), (0.95,),
+                test_names=[m.name for m in SUITE.mutants],
+            )
 
 
 class TestRendering:

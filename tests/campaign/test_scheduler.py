@@ -202,6 +202,43 @@ class TestCheckpointResume:
         assert "complete" in status.describe()
 
 
+class TestSerialTelemetry:
+    """Serial unit telemetry is folded in when a progress line prints
+    and once after the loop, not after every unit."""
+
+    def test_progress_lines_see_live_totals(self):
+        lines = []
+        outcome = run_campaign(
+            spec(),
+            config=serial_config(progress_interval=0.0),
+            log=lines.append,
+        )
+        total = len(spec().units())
+        done = [
+            int(line.split()[1].split("/")[0])
+            for line in lines
+            if line.startswith("[campaign]") and "units (" in line
+        ]
+        assert done == list(range(1, total + 1))
+        assert outcome.metrics.units_done == total
+
+    def test_totals_exact_without_progress_lines(self, tmp_path):
+        plan = FaultPlan(
+            unit_indices=(3,), failures=1, marker_dir=str(tmp_path)
+        )
+        quiet = run_campaign(
+            spec(),
+            config=serial_config(
+                progress_interval=None, max_retries=1, fault_plan=plan
+            ),
+        )
+        total = len(spec().units())
+        assert quiet.metrics.units_done == total
+        assert quiet.metrics.retries == 1
+        per_worker = quiet.metrics.workers
+        assert sum(c.units_done for c in per_worker.values()) == total
+
+
 class TestRetry:
     def test_flaky_unit_retries_and_succeeds(self, tmp_path):
         plan = FaultPlan(

@@ -193,3 +193,134 @@ class TestStabilityProperty:
             relaxed_target, budget * larger,
         )
         assert relaxed.environment is strict.environment
+
+
+def grid_result(rates_by_test, environments, seconds=1.0):
+    """A PTE result whose run of test t on device d in environment e
+    has death rate ``rates_by_test[t][e][d]`` (kills / ``seconds``)."""
+    from repro.env.runner import TestRun
+    from repro.env.tuning import TuningResult
+
+    runs = [
+        TestRun(
+            test_name=f"t{test}",
+            device_name=device,
+            environment=environment,
+            iterations=1,
+            instances_per_iteration=1,
+            kills=kills,
+            seconds=seconds,
+        )
+        for test, grid in enumerate(rates_by_test)
+        for environment, row in zip(environments, grid)
+        for device, kills in zip(DEVICES, row)
+    ]
+    return TuningResult(kind=EnvironmentKind.PTE, runs=runs)
+
+
+def kill_grids():
+    """Kill counts ``[test][environment][device]`` over 1-5
+    environments.  Few distinct counts make ties in both the device
+    count and the minimum non-zero rate common; zero rows and all-zero
+    tests are drawn too."""
+    from hypothesis import strategies as st
+
+    kills = st.sampled_from([0, 0, 0, 1, 2, 3, 4, 8])
+    row = st.lists(kills, min_size=len(DEVICES), max_size=len(DEVICES))
+    return st.integers(1, 5).flatmap(
+        lambda env_count: st.lists(
+            st.one_of(
+                st.just([[0] * len(DEVICES)] * env_count),
+                st.lists(row, min_size=env_count, max_size=env_count),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+
+
+class TestMergeSuiteMatchesReference:
+    """The array Algorithm 1 of ``merge_suite`` against the verbatim
+    ``merge_environments``, on random grids with ties and zeros."""
+
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        grid=kill_grids(),
+        seconds=st.sampled_from([0.5, 1.0, 4.0]),
+        target=st.sampled_from([0.5, 0.95, 0.99999]),
+        budget=st.sampled_from([0.25, 1.0, 4.0, 64.0]),
+    )
+    def test_decisions_and_figure6_score(self, grid, seconds, target, budget):
+        from repro.confidence import ceiling_rate
+
+        environments = random_environments(
+            EnvironmentKind.PTE, len(grid[0]), seed=11
+        )
+        result = grid_result(grid, environments, seconds)
+        names = result.test_names
+        decisions = merge_suite(result, names, target, budget)
+        reference = [
+            merge_environments(
+                name,
+                result.environments,
+                result.device_names,
+                tuning_rate_function(result),
+                target,
+                budget,
+            )
+            for name in names
+        ]
+        for got, want in zip(decisions, reference):
+            assert got.test_name == want.test_name
+            assert got.environment == want.environment
+            assert got.devices_at_ceiling == want.devices_at_ceiling
+            assert got.min_nonzero_rate == want.min_nonzero_rate
+            assert got.rates == want.rates
+            assert list(got.rates) == list(want.rates)
+        assert len(decisions) == len(reference)
+
+        score = reproducible_pairs(decisions, target, budget, len(DEVICES))
+        assert score == reproducible_pairs(
+            reference, target, budget, len(DEVICES)
+        )
+        ceiling = ceiling_rate(target, budget)
+        best_counts = sum(
+            max(
+                sum(kills / seconds >= ceiling for kills in row)
+                for row in test_grid
+            )
+            for test_grid in grid
+        )
+        assert score == best_counts / (len(grid) * len(DEVICES))
+
+    def test_missing_cell_raises_the_reference_error(self):
+        environments = ENVS[:2]
+        full = grid_result([[[1, 2, 3], [4, 5, 6]]], environments)
+        partial = type(full)(
+            kind=full.kind,
+            runs=[
+                run for run in full.runs
+                if not (run.device_name == "B"
+                        and run.environment.env_key == 1)
+            ],
+        )
+        with pytest.raises(AnalysisError) as reference:
+            merge_environments(
+                "t0", partial.environments, partial.device_names,
+                tuning_rate_function(partial), 0.95, 4.0,
+            )
+        with pytest.raises(AnalysisError) as dense:
+            merge_suite(partial, ["t0"], 0.95, 4.0)
+        assert str(dense.value) == str(reference.value)
+        with pytest.raises(AnalysisError, match="test='absent'"):
+            merge_suite(full, ["t0", "absent"], 0.95, 4.0)
+
+    def test_argument_validation_matches_reference(self):
+        result = grid_result([[[1, 2, 3]]], ENVS[:1])
+        with pytest.raises(AnalysisError, match=r"\(0, 1\)"):
+            merge_suite(result, ["t0"], 1.5, 4.0)
+        with pytest.raises(AnalysisError, match="positive"):
+            merge_suite(result, ["t0"], 0.95, 0.0)
+        assert merge_suite(result, [], 1.5, 4.0) == []

@@ -445,3 +445,25 @@ class TestSynthesisCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "combined" in out
+
+
+class TestReproduceAllScript:
+    def test_too_few_environments_is_a_usage_error(self, tmp_path):
+        """Rejected before any work: Table 4 needs three environments."""
+        import os
+        import subprocess
+        import sys
+
+        root = Path(__file__).resolve().parent.parent
+        out = tmp_path / "results"
+        completed = subprocess.run(
+            [sys.executable, str(root / "scripts" / "reproduce_all.py"),
+             str(out), "--envs", "2", "--workers", "1", "--no-store"],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 2
+        assert "--envs must be at least 3" in completed.stderr
+        assert not out.exists()
