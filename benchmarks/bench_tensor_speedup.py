@@ -1,10 +1,10 @@
 """Speedup of the tensor backend's grid path on the Figure 5 grid.
 
 Times the same grid — all four Sec. 5.1 environment kinds, the study
-device roster, the full mutant suite — through the warm vectorized
-``run_matrix`` path (the previous speed champion, bitwise contract)
-and through the tensor backend's native ``run_grid`` path
-(statistical contract), in three regimes:
+device roster, the full mutant suite — through the analytic backend's
+``run_matrix`` path (the numerical reference, bitwise contract) and
+through the tensor backend's native ``run_grid`` path (statistical
+contract), in three regimes:
 
 * **cold** (caches empty): the grid program — characterization,
   workload, tuning, the whole probability tensor — is compiled once
@@ -16,13 +16,13 @@ and through the tensor backend's native ``run_grid`` path
   binomial sampling reruns — the regime incremental campaigns with
   new seeds live in.
 
-The acceptance bar is asserted on the warm regime: ≥10× over warm
-vectorized at the paper's full scale (150 environments per stressed
-kind), relaxed to ≥3× on reduced CI grids where fixed overheads
-dominate.  Speed never buys silent drift: the per-instance
+The acceptance bar is asserted on the warm regime: ≥10× over the
+warm analytic matrix at the paper's full scale (150 environments per
+stressed kind), relaxed to ≥3× on reduced CI grids where fixed
+overheads dominate.  Speed never buys silent drift: the per-instance
 probability tensor, iteration counts, instance counts, and simulated
 seconds stay bitwise equal to the analytic model (checked here via
-``GridResult.to_runs`` against the vectorized runs), kill counts are
+``GridResult.to_runs`` against the analytic runs), kill counts are
 checked statistically against their exact binomial expectation, and
 a seeded rerun from cold caches must reproduce kills bit-for-bit.
 
@@ -37,10 +37,9 @@ import numpy as np
 
 from repro import obs
 from repro.backends import (
+    AnalyticBackend,
     TensorAnalyticBackend,
-    VectorizedAnalyticBackend,
     reset_tensor_caches,
-    reset_vectorized_caches,
     tensor_cache_stats,
 )
 from repro.backends.base import GRID_SECONDS_METRIC
@@ -117,14 +116,13 @@ def test_tensor_speedup(suite, devices):
         for environments in grids.values()
     )
 
-    reset_vectorized_caches()
-    vectorized = VectorizedAnalyticBackend()
+    analytic = AnalyticBackend()
     # The priming pass doubles as the cold-regime reference.
-    _, vector_cold_seconds, _ = _timed_matrix(
-        vectorized, devices, tests, grids
+    _, analytic_cold_seconds, _ = _timed_matrix(
+        analytic, devices, tests, grids
     )
-    vector_runs, vector_warm_seconds, vector_summary = _timed_matrix(
-        vectorized, devices, tests, grids
+    analytic_runs, analytic_warm_seconds, analytic_summary = (
+        _timed_matrix(analytic, devices, tests, grids)
     )
 
     reset_tensor_caches()
@@ -140,17 +138,17 @@ def test_tensor_speedup(suite, devices):
     )
 
     # Cold compares against cold (first sight of a grid), warm and
-    # resample against the vectorized steady state it must displace.
-    cold_speedup = vector_cold_seconds / cold_seconds
-    warm_speedup = vector_warm_seconds / warm_seconds
-    resample_speedup = vector_warm_seconds / resample_seconds
+    # resample against the analytic steady state.
+    cold_speedup = analytic_cold_seconds / cold_seconds
+    warm_speedup = analytic_warm_seconds / warm_seconds
+    resample_speedup = analytic_warm_seconds / resample_seconds
     stats = tensor_cache_stats()
 
     print(f"\ntensor grid speedup over {total_units} units "
           f"({ENVIRONMENT_COUNT} environments per stressed kind):")
-    print(f"  vectorized (cold matrix): {vector_cold_seconds:.3f}s")
-    print(f"  vectorized (warm matrix): {vector_warm_seconds:.3f}s "
-          f"({total_units / vector_warm_seconds:,.0f} units/s)")
+    print(f"  analytic (cold matrix):   {analytic_cold_seconds:.3f}s")
+    print(f"  analytic (warm matrix):   {analytic_warm_seconds:.3f}s "
+          f"({total_units / analytic_warm_seconds:,.0f} units/s)")
     print(f"  tensor (cold grid):       {cold_seconds:.3f}s "
           f"({cold_speedup:.2f}x over cold)")
     print(f"  tensor (warm grid):       {warm_seconds * 1e3:.1f}ms "
@@ -161,13 +159,17 @@ def test_tensor_speedup(suite, devices):
           f"{stats.grid_misses} misses; kills cache: "
           f"{stats.kills_hits} hits / {stats.kills_misses} misses")
 
+    # Stages carry grid-time distributions only (emit requires a
+    # median and p90 for each); the ratios ride on the ledger record.
     artifact = obs.emit(
         "tensor",
         {
-            "vectorized_warm": vector_summary,
+            "analytic_warm": analytic_summary,
             "tensor_cold": cold_summary,
             "tensor_warm": warm_summary,
             "tensor_resample": resample_summary,
+        },
+        extra={
             "speedups": {
                 "cold": cold_speedup,
                 "warm": warm_speedup,
@@ -180,12 +182,12 @@ def test_tensor_speedup(suite, devices):
     print(f"  per-stage grid-time summary written to {artifact}")
 
     # Correctness before speed.  The grid's probability-derived
-    # fields are bitwise equal to the vectorized (= analytic) runs;
+    # fields are bitwise equal to the analytic runs;
     # only the kill draws differ, and those must sit within
     # SIGMA_BOUND of their exact binomial expectation per kind.
     for kind, result in warm_results.items():
-        assert result.unit_count == len(vector_runs[kind])
-        for ours, reference in zip(result.to_runs(), vector_runs[kind]):
+        assert result.unit_count == len(analytic_runs[kind])
+        for ours, reference in zip(result.to_runs(), analytic_runs[kind]):
             assert ours.test_name == reference.test_name
             assert ours.device_name == reference.device_name
             assert ours.environment == reference.environment
@@ -212,11 +214,11 @@ def test_tensor_speedup(suite, devices):
                               cold_results[kind].kills)
 
     assert cold_speedup > 1.0, (
-        f"tensor grid slower than the cold vectorized matrix "
+        f"tensor grid slower than the cold analytic matrix "
         f"({cold_speedup:.2f}x)"
     )
     assert resample_speedup > 1.0, (
-        f"resampling a cached program slower than warm vectorized "
+        f"resampling a cached program slower than warm analytic "
         f"({resample_speedup:.2f}x)"
     )
     assert warm_speedup >= WARM_SPEEDUP_FLOOR, (

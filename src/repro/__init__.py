@@ -36,8 +36,8 @@ Subpackages:
   declarative work-unit grids, a multiprocessing executor with retry
   and timeouts, JSONL checkpoint/resume journals, run telemetry.
 * :mod:`repro.backends` — pluggable execution backends (analytic,
-  operational, vectorized) behind one registry, plus the
-  cross-backend validation harness.
+  operational, tensor, and the ``vectorized`` alias of analytic)
+  behind one registry, plus the cross-backend validation harness.
 * :mod:`repro.synthesis` — automated cycle enumeration and
   litmus/mutant synthesis: generates verified suites beyond the
   hand-written Table 2 set and recovers that set as a self-check.

@@ -1,7 +1,7 @@
 """Pluggable execution backends behind the runner.
 
-One :class:`Backend` protocol, four strategies, one registry.  Every
-backend declares an ``equivalence`` contract
+One :class:`Backend` protocol, three strategies plus one alias, one
+registry.  Every backend declares an ``equivalence`` contract
 (:data:`EQUIVALENCE_CONTRACTS`) naming how its numbers relate to the
 analytic reference; the registry validates the contract, the
 validation harness checks it, and campaign journals enforce it across
@@ -14,18 +14,17 @@ resume:
 * ``operational`` (:class:`OperationalBackend`, ``directional``) —
   every instance actually simulated by the operational executor.
   SITE-scale only; accepts ``max_operational_instances``.
-* ``vectorized`` (:class:`VectorizedAnalyticBackend`, ``bitwise``) —
-  the analytic model with one characterize/workload/probability pass
-  per grid and shared memo caches keyed by the structural test hash.
-  Bit-identical to ``analytic`` for the same seed, several times
-  faster on tuning grids.
 * ``tensor`` (:class:`TensorAnalyticBackend`, ``statistical``) — the
   whole (environment × device × test) grid as one broadcast tensor
   program with batched binomial sampling.  Probabilities and seconds
   are bitwise equal to ``analytic``; kill counts come from the same
   distributions via independent seeded streams.  Orders of magnitude
-  faster than ``vectorized`` through the :class:`GridResult` path
+  faster than ``analytic`` through the :class:`GridResult` path
   (see ``benchmarks/bench_tensor_speedup.py``).
+* ``vectorized`` (:class:`VectorizedAnalyticBackend`, ``bitwise``) —
+  a registry alias of ``analytic`` under its own name, so journals,
+  store objects and stats files recorded under that name still
+  resolve and resume bit-identically.
 
 Grids can be executed as :class:`~repro.env.runner.TestRun` lists
 (``run_matrix``) or as structure-of-arrays tensors
@@ -40,7 +39,10 @@ delegate to — or inject a :class:`Backend` instance directly.
 runs on every build.
 """
 
-from repro.backends.analytic import AnalyticBackend
+from repro.backends.analytic import (
+    AnalyticBackend,
+    VectorizedAnalyticBackend,
+)
 from repro.backends.base import (
     EQUIVALENCE_CONTRACTS,
     Backend,
@@ -67,12 +69,6 @@ from repro.backends.validate import (
     validate_directional_agreement,
     validate_statistical_equivalence,
 )
-from repro.backends.vectorized import (
-    VectorizedAnalyticBackend,
-    VectorizedCacheStats,
-    reset_vectorized_caches,
-    vectorized_cache_stats,
-)
 
 __all__ = [
     "AnalyticBackend",
@@ -84,12 +80,10 @@ __all__ = [
     "TensorCacheStats",
     "ValidationReport",
     "VectorizedAnalyticBackend",
-    "VectorizedCacheStats",
     "make_backend",
     "register",
     "registered_backends",
     "reset_tensor_caches",
-    "reset_vectorized_caches",
     "resolve",
     "tensor_cache_stats",
     "validate_backends",
@@ -97,5 +91,4 @@ __all__ = [
     "validate_directional_agreement",
     "validate_options",
     "validate_statistical_equivalence",
-    "vectorized_cache_stats",
 ]

@@ -1,9 +1,14 @@
 """The analytic backend: closed-form probabilities, binomial kills.
 
 This is the default execution strategy and the numerical ground truth
-for the vectorized variant: one unit = one workload translation, one
-per-instance probability from :class:`~repro.gpu.batch.BatchModel`,
-and one binomial draw per iteration from the unit's RNG stream.
+every other backend is validated against: one unit = one workload
+translation, one per-instance probability from
+:class:`~repro.gpu.batch.BatchModel`, and one binomial draw per
+iteration from the unit's RNG stream.
+
+``vectorized`` is a registry alias of this backend, kept so journals,
+store objects and stats files recorded under that name keep resolving
+to bit-identical results.
 """
 
 from __future__ import annotations
@@ -50,3 +55,18 @@ class AnalyticBackend(Backend):
             kills=int(kills.sum()),
             seconds=seconds,
         )
+
+
+@register
+class VectorizedAnalyticBackend(AnalyticBackend):
+    """The ``vectorized`` name, kept as an alias of ``analytic``.
+
+    Only the name differs, and it is part of every recorded identity:
+    store digests hash (name, version, key), grid metrics carry a
+    ``backend`` label and stats files a ``backend`` field.  Version,
+    options and the ``bitwise`` contract are inherited from
+    :class:`AnalyticBackend`, so results recorded under this name stay
+    valid.
+    """
+
+    name = "vectorized"

@@ -4,8 +4,9 @@ A :class:`Backend` is one strategy for turning a (device, test,
 environment, iterations, rng) work unit into a
 :class:`~repro.env.runner.TestRun`.  Three strategies ship with the
 package (see :mod:`repro.backends`): the closed-form analytic model,
-the instance-level operational simulator, and a vectorized analytic
-variant that batches whole suite × environment grids.
+the instance-level operational simulator, and a tensor variant of the
+analytic model that evaluates whole suite × environment grids as
+array programs.  ``vectorized`` is a registry alias of ``analytic``.
 
 The protocol is deliberately small: ``run`` executes one unit,
 ``run_matrix`` executes a grid as :class:`~repro.env.runner.TestRun`
@@ -47,8 +48,7 @@ from repro.litmus.program import LitmusTest
 #:
 #: * ``"bitwise"`` — every :class:`TestRun` is bit-identical to the
 #:   analytic reference for the same (seed, unit key).  Holds for
-#:   ``analytic`` itself and for ``vectorized``, whose batching only
-#:   dedups computation.
+#:   ``analytic`` itself and for ``vectorized``, its alias.
 #: * ``"statistical"`` — kill counts come from the same distributions
 #:   as the reference (identical probabilities, seconds, and unit
 #:   grid) but from different draws; fixed seeds still reproduce

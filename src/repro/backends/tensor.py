@@ -1,11 +1,11 @@
 """The tensor analytic backend: the whole grid as one array program.
 
-The vectorized backend dedups *computation* but still walks the grid
-unit by unit in Python — memo lookups, per-unit RNG construction, and
-per-unit :class:`TestRun` records dominate its warm path.  This
-backend evaluates the analytic closed forms as broadcast tensor ops
-over the full (environment × device × test) grid and samples every
-kill count in a handful of batched NumPy operations:
+The analytic backend walks the grid unit by unit in Python — workload
+translation, ``characterize``, per-unit RNG construction, and
+per-unit :class:`TestRun` records dominate its cost.  This backend
+evaluates the analytic closed forms as broadcast tensor ops over the
+full (environment × device × test) grid and samples every kill count
+in a handful of batched NumPy operations:
 
 * **Probabilities are bit-identical to analytic.**  Per-test
   characteristics and per-(environment, device) tuning scalars are
@@ -41,32 +41,37 @@ sampled kill tensors are memoized in bounded LRU caches — memoization
 at the grid level, not the instance level.
 
 ``benchmarks/bench_tensor_speedup.py`` asserts the speedup target
-(≥10x over warm vectorized on the full Figure 5 grid);
+(≥10x over the analytic matrix on the full Figure 5 grid);
 ``python -m repro.backends`` asserts the statistical contract.
 """
 
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.backends.base import Backend, GridResult, record_grid
 from repro.backends.registry import register
-from repro.backends.vectorized import _LRUCache, _test_info
 from repro.env.environment import TestingEnvironment
 from repro.env.runner import TestRun, stable_name_hash
 from repro.gpu.batch import (
+    JITTER_SIGMA,
     instance_dilution,
     interleaving_probability,
     observer_factor,
     stress_focus,
     weak_reorder_probability,
 )
-from repro.gpu.characteristics import Mechanism
+from repro.gpu.characteristics import (
+    Mechanism,
+    TestCharacteristics,
+    characterize,
+)
 from repro.gpu.device import Device
 from repro.litmus.program import LitmusTest
 
@@ -84,6 +89,44 @@ SMALL_MEAN_CUTOFF = 32.0
 #: Hard ceiling on inversion steps; P(X > 256 | mean <= 32) < 1e-60,
 #: so the cap is unreachable in practice and only bounds the loop.
 _MAX_INVERSION_STEPS = 256
+
+
+class _LRUCache:
+    """A bounded LRU memo with hit/miss/eviction counters."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._entries: "OrderedDict[Any, Any]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def get_or_compute(self, key: Any, compute: Callable[[], Any]) -> Any:
+        try:
+            value = self._entries[key]
+        except KeyError:
+            pass
+        else:
+            self.hits += 1
+            self._entries.move_to_end(key)
+            return value
+        self.misses += 1
+        value = compute()
+        self._entries[key] = value
+        while len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+        return value
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
 
 #: Whole grid programs (probability/instances/seconds tensors), keyed
 #: by grid identity; seed-independent, so tuning sweeps that resample
@@ -130,6 +173,24 @@ def reset_tensor_caches() -> None:
     _GRID_CACHE.clear()
     _KILLS_CACHE.clear()
     _JITTER_Z_CACHE.clear()
+
+
+@dataclass(frozen=True)
+class _TestInfo:
+    """Everything per-test the grid program needs, computed once."""
+
+    test: LitmusTest
+    characteristics: TestCharacteristics
+    sigma: float
+
+
+def _test_info(test: LitmusTest) -> _TestInfo:
+    characteristics = characterize(test)
+    return _TestInfo(
+        test=test,
+        characteristics=characteristics,
+        sigma=JITTER_SIGMA[characteristics.mechanism],
+    )
 
 
 # -- counter-based per-unit streams -------------------------------------------
@@ -408,8 +469,8 @@ def _compile_program(
     reference_test = tests[0] if tests else None
     for e, environment in enumerate(environments):
         for d, device in enumerate(devices):
-            # workload / iteration_seconds are test-independent (the
-            # same dedup the vectorized backend exploits).
+            # workload / iteration_seconds are test-independent:
+            # instances_per_iteration ignores its test argument.
             workload = environment.workload(
                 device.profile, reference_test
             )

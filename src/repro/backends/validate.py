@@ -4,10 +4,11 @@ Each backend declares an ``equivalence`` contract
 (:data:`repro.backends.base.EQUIVALENCE_CONTRACTS`) and this module
 holds the executable check for each contract:
 
-1. **Bit identity** (``"bitwise"``, the vectorized backend) — exactly
-   the per-run analytic path's :class:`TestRun` records (same kills,
-   same seconds) for the same seed.  Anything else means caching or
-   batching changed the numbers.
+1. **Bit identity** (``"bitwise"``, the ``vectorized`` alias) —
+   exactly the per-run analytic path's :class:`TestRun` records (same
+   kills, same seconds) for the same seed.  The alias only renames
+   ``analytic``, so anything else means a registry or grid-loop
+   change altered the numbers recorded under that name.
 2. **Statistical equivalence** (``"statistical"``, the tensor
    backend) — probabilities, seconds, and grid metadata bitwise equal
    to analytic; kill counts from the same binomial distributions but
@@ -35,13 +36,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends.analytic import AnalyticBackend
+from repro.backends.analytic import (
+    AnalyticBackend,
+    VectorizedAnalyticBackend,
+)
 from repro.backends.operational import OperationalBackend
 from repro.backends.tensor import (
     TensorAnalyticBackend,
     reset_tensor_caches,
 )
-from repro.backends.vectorized import VectorizedAnalyticBackend
 from repro.env.environment import TestingEnvironment
 from repro.env.runner import TestRun, oracle_for, unit_rng
 from repro.errors import EnvironmentError_

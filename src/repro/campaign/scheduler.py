@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro import obs
-from repro.analysis.serialize import run_from_dict
 from repro.backends import resolve
 from repro.env.environment import EnvironmentKind
 from repro.env.runner import TestRun
@@ -409,7 +408,7 @@ class CampaignScheduler:
         self._attempts[index] = attempts
         if outcome.ok:
             unit = units[index]
-            run = run_from_dict(outcome.run)
+            run = outcome.run
             self._completed[index] = _Completed(
                 unit=unit, run=run, attempts=attempts
             )

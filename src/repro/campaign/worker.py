@@ -24,10 +24,9 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.analysis.serialize import run_to_dict
 from repro.campaign.metrics import record_unit
 from repro.env.environment import TestingEnvironment
-from repro.env.runner import Runner, oracle_cache_stats
+from repro.env.runner import Runner, TestRun, oracle_cache_stats
 from repro.errors import ReproError
 from repro.gpu.device import Device, make_device
 from repro.campaign.spec import CampaignError, CampaignSpec, WorkUnit
@@ -117,6 +116,9 @@ class FaultPlan:
 class UnitOutcome:
     """The picklable result of one unit attempt.
 
+    ``run`` is the :class:`TestRun` itself, handed over in-process on
+    the serial path and pickled by pool workers.
+
     Per-unit telemetry (timings, oracle-cache lookups) no longer rides
     on the outcome: workers fold it into a process-local
     :class:`~repro.obs.registry.MetricsRegistry` and ship the drained
@@ -126,7 +128,7 @@ class UnitOutcome:
     index: int
     worker_id: str
     elapsed: float
-    run: Optional[Dict[str, Any]] = None
+    run: Optional[TestRun] = None
     error: Optional[str] = None
     timed_out: bool = False
 
@@ -406,7 +408,7 @@ def execute_unit(
             index=index,
             worker_id=state.worker_id,
             elapsed=elapsed,
-            run=run_to_dict(run),
+            run=run,
         )
     except UnitTimeout as error:
         return UnitOutcome(

@@ -7,10 +7,11 @@ yielding a kill count and a simulated duration.  Everything in Sec. 5
 an aggregation over ``TestRun`` records.
 
 Execution strategies live in :mod:`repro.backends` (``analytic``,
-``operational``, ``vectorized``, ``tensor``); the :class:`Runner`
-here is a thin composition over one of them, owning only what is
-strategy-independent — iteration-count resolution and the
-deterministic per-unit RNG derivation.  ``backend=`` (a registry name
+``operational``, ``tensor``, and ``vectorized``, an alias of
+``analytic``); the :class:`Runner` here is a thin composition over
+one of them, owning only what is strategy-independent —
+iteration-count resolution and the deterministic per-unit RNG
+derivation.  ``backend=`` (a registry name
 or a :class:`~repro.backends.Backend` instance) together with
 :func:`repro.backends.make_backend` is the single construction path;
 the ``mode=`` alias deprecated since the backend extraction has been
@@ -59,32 +60,20 @@ def result_key(
     environment: TestingEnvironment,
     seed: Optional[int] = None,
     iterations: Optional[int] = None,
-    structural_key: Optional[str] = None,
 ) -> tuple:
     """The canonical identity of one (test, device, environment) unit.
 
-    Every memo and store in the system keys results off this one
-    tuple so cache keys can never diverge between layers: the
-    vectorized backend's probability memo uses it with ``seed`` and
-    ``iterations`` unset (probabilities are draw-independent), its
-    whole-run memo and the persistent :mod:`repro.store` set both.
+    The persistent :mod:`repro.store` addresses unit results by this
+    one tuple, with ``seed`` and ``iterations`` set, so every layer
+    that names a unit result agrees on what it is.
 
     Components are frozen dataclasses, enums, strings, and ints, so
     the tuple is hashable and its ``repr`` is identical across
     processes — which is what lets :func:`result_digest` derive a
     process-stable content address from it.
-
-    ``structural_key`` may be passed when the caller already computed
-    :func:`structural_test_key` (grid passes compute it once per
-    test); it must equal ``structural_test_key(test)``.
     """
-    key = (
-        structural_key
-        if structural_key is not None
-        else structural_test_key(test)
-    )
     return (
-        key,
+        structural_test_key(test),
         test.name,
         device.profile,
         tuple(device.bugs),
@@ -289,7 +278,7 @@ class Runner:
 
     Args:
         backend: A backend name (``"analytic"``, ``"operational"``,
-            ``"vectorized"``, ``"tensor"``) or a
+            ``"tensor"``, ``"vectorized"``) or a
             :class:`repro.backends.Backend` instance.  Defaults to
             ``"analytic"``.
         max_operational_instances: Per-iteration instance cap; only
@@ -394,8 +383,8 @@ class Runner:
 
         Each triple gets an independent, deterministic RNG stream, so
         subsets of the matrix reproduce the full run's values.
-        Delegated whole to the backend, so batching backends (the
-        vectorized one) see the grid at once.
+        Delegated whole to the backend, so grid backends (the tensor
+        one) see the grid at once.
         """
         return self.backend.run_matrix(
             devices,

@@ -16,7 +16,7 @@ formal model:
   dispatch and nothing else;
 * :mod:`repro.obs.export` — JSONL and Prometheus-text artifacts;
 * :mod:`repro.obs.caches` — delta publication of the oracle cache and
-  vectorized-backend memo counters;
+  tensor-backend memo counters;
 * :mod:`repro.obs.bench` — the shared ``BENCH_obs.json`` perf artifact.
 
 Typical use (the CLI's ``--metrics-out``/``--trace`` flags do this):

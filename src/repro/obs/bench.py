@@ -8,12 +8,12 @@ perf trajectory is comparable PR-over-PR with a single artifact diff:
 .. code-block:: json
 
     {"schema": 1, "benches": {
-        "backend_speedup": {"stages": {
+        "tensor_speedup": {"stages": {
             "analytic": {"count": 4, "median": 0.41, "p90": 0.52, ...}
     }}}}
 
 The file is update-in-place: each bench replaces only its own entry,
-so ``bench_backend_speedup`` and ``bench_campaign_scaling`` can run in
+so ``bench_tensor_speedup`` and ``bench_campaign_scaling`` can run in
 any order (or alone) without clobbering each other.  Path defaults to
 ``BENCH_obs.json`` in the working directory; override with the
 ``BENCH_OBS_PATH`` environment variable.

@@ -1,8 +1,8 @@
 """Publishing memo/oracle-cache counters into the metrics registry.
 
-The oracle cache (:mod:`repro.env.runner`) and the vectorized
-backend's probability/jitter/run memos keep their own cumulative
-hit/miss/eviction counters — cheap, always on, and untouched by this
+The oracle cache (:mod:`repro.env.runner`) and the tensor backend's
+grid/kills/jitter memos keep their own cumulative hit/miss/eviction
+counters — cheap, always on, and untouched by this
 layer.  What the obs layer adds is *publication*: at natural flush
 points (end of a grid, end of a shard) the deltas since the previous
 publish are folded into the registry as
@@ -94,21 +94,6 @@ def publish_cache_metrics() -> None:
         rec, "oracle", oracle.hits, oracle.misses, oracle.evictions,
         oracle.size,
     )
-    from repro.backends.vectorized import (
-        _JITTER_CACHE,
-        _PROBABILITY_CACHE,
-        _RUN_CACHE,
-    )
-
-    for cache_name, cache in (
-        ("probability", _PROBABILITY_CACHE),
-        ("jitter", _JITTER_CACHE),
-        ("run", _RUN_CACHE),
-    ):
-        _publish_cache(
-            rec, cache_name, cache.hits, cache.misses, cache.evictions,
-            len(cache),
-        )
     from repro.backends.tensor import (
         _GRID_CACHE,
         _JITTER_Z_CACHE,

@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Set, Union
 
 from repro.analysis import save_result
-from repro.analysis.serialize import run_from_dict
 from repro.backends import resolve
 from repro.campaign.journal import CampaignJournal
 from repro.campaign.metrics import publish_store_events
@@ -540,7 +539,7 @@ class CampaignService:
             job.attempts[outcome.index] = attempts
             if outcome.ok:
                 unit = job.units[outcome.index]
-                run = run_from_dict(outcome.run)
+                run = outcome.run
                 job.journal.append(
                     unit, run, outcome.elapsed, attempts
                 )

@@ -1,7 +1,7 @@
 """repro.store — the persistent, content-addressed result store.
 
 Layer 9 of the architecture: where the in-process memo caches
-(:mod:`repro.backends.vectorized`, the oracle cache) die with their
+(the tensor backend's grid programs, the oracle cache) die with their
 worker, this store persists completed unit results on disk, shared
 across workers, across runs, and across the service daemon.  A
 campaign run with ``store_policy="reuse"`` partitions its grid into

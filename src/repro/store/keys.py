@@ -2,9 +2,8 @@
 
 The address of one unit result is
 :func:`repro.env.runner.result_digest` over the canonical
-:func:`repro.env.runner.result_key` — the same tuple the vectorized
-backend memoizes on in-process, extended with the backend's name and
-behaviour version.  This module materialises a campaign spec exactly
+:func:`repro.env.runner.result_key`, extended with the backend's name
+and behaviour version.  This module materialises a campaign spec exactly
 the way the worker does (same device factory, same test resolution,
 same environment regeneration, same iteration-count rule) and maps
 every work unit to its digest, so the scheduler, the service, and the

@@ -1,19 +1,17 @@
-"""Behavioural tests for the three execution backends.
+"""Behavioural tests for the analytic and operational backends.
 
-The load-bearing property is bit identity: the vectorized backend
+The load-bearing property is bit identity: the ``vectorized`` alias
 must reproduce the analytic backend's kill counts *exactly* for the
-same seed, buggy devices and all environment kinds included.
+same seed, buggy devices and all environment kinds included, because
+journals and store objects recorded under that name resume through it.
 """
 
-import numpy as np
 import pytest
 
 from repro.backends import (
     AnalyticBackend,
     OperationalBackend,
     VectorizedAnalyticBackend,
-    reset_vectorized_caches,
-    vectorized_cache_stats,
 )
 from repro.env import (
     EnvironmentKind,
@@ -23,17 +21,10 @@ from repro.env import (
     site_baseline,
     unit_rng,
 )
-from repro.gpu import make_device, study_devices
+from repro.gpu import make_device
 from repro.mutation import default_suite
 
 SUITE = default_suite()
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    reset_vectorized_caches()
-    yield
-    reset_vectorized_caches()
 
 
 def grid_for(kind, environment_count=2, seed=3):
@@ -93,57 +84,6 @@ class TestBitIdentity:
         assert VectorizedAnalyticBackend().run_matrix(
             [make_device("amd")], [], [pte_baseline()], seed=0
         ) == []
-
-
-class TestCaches:
-    def test_repeat_matrix_hits_run_memo(self):
-        backend = VectorizedAnalyticBackend()
-        devices = study_devices()
-        tests = SUITE.mutants[:4]
-        environments = grid_for(EnvironmentKind.PTE)
-        first = backend.run_matrix(devices, tests, environments, seed=2)
-        cold = vectorized_cache_stats()
-        assert cold.run_misses == len(first)
-        second = backend.run_matrix(devices, tests, environments, seed=2)
-        warm = vectorized_cache_stats()
-        assert second == first
-        assert warm.run_hits == len(first)
-        assert warm.run_misses == cold.run_misses
-
-    def test_different_seed_misses_run_memo(self):
-        backend = VectorizedAnalyticBackend()
-        backend.run_matrix(
-            [make_device("amd")], SUITE.mutants[:2], [pte_baseline()],
-            seed=1,
-        )
-        backend.run_matrix(
-            [make_device("amd")], SUITE.mutants[:2], [pte_baseline()],
-            seed=2,
-        )
-        assert vectorized_cache_stats().run_hits == 0
-
-    def test_probability_cache_shared_across_instances(self):
-        kwargs = dict(
-            devices=[make_device("amd")],
-            tests=SUITE.mutants[:3],
-            environments=[pte_baseline()],
-            seed=5,
-        )
-        VectorizedAnalyticBackend().run_matrix(**kwargs)
-        misses = vectorized_cache_stats().probability_misses
-        VectorizedAnalyticBackend().run_matrix(**kwargs)
-        stats = vectorized_cache_stats()
-        assert stats.probability_misses == misses
-
-    def test_reset_clears_counters(self):
-        VectorizedAnalyticBackend().run_matrix(
-            [make_device("amd")], SUITE.mutants[:1], [pte_baseline()],
-            seed=0,
-        )
-        reset_vectorized_caches()
-        stats = vectorized_cache_stats()
-        assert stats.run_hits == stats.run_misses == 0
-        assert stats.probability_size == stats.run_size == 0
 
 
 class TestOperationalBackend:

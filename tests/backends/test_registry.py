@@ -30,6 +30,16 @@ class TestResolve:
         assert resolve("tensor") is TensorAnalyticBackend
         assert resolve("vectorized") is VectorizedAnalyticBackend
 
+    def test_vectorized_is_an_analytic_alias(self):
+        # Name and version enter every store digest and the contract
+        # every journal header, so the alias keeps all three.
+        alias = resolve("vectorized")
+        assert issubclass(alias, AnalyticBackend)
+        assert alias.name == "vectorized"
+        assert alias.version == 1
+        assert alias.equivalence == "bitwise"
+        assert alias.option_names == frozenset()
+
     def test_unknown_name_canonical_error(self):
         # The one error message Runner and CampaignSpec both surface.
         with pytest.raises(

@@ -71,7 +71,9 @@ class TestCampaignTelemetry:
             for name, labels, _ in registry.iter_counters()
             if name == CACHE_EVENTS_METRIC
         }
-        assert {"oracle", "probability", "run"} <= cache_counters
+        assert {
+            "oracle", "tensor_grid", "tensor_kills", "tensor_jitter",
+        } <= cache_counters
 
     def test_worker_totals_merge_to_serial_totals(self):
         """Per-worker snapshots merged at the scheduler equal the

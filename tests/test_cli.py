@@ -243,6 +243,17 @@ class TestCampaignCommands:
         ) == 0
         assert "combined" in capsys.readouterr().out
 
+    def test_retired_mode_flag_is_a_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "camp"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["campaign", "run", "--mode", "analytic", "--smoke",
+                 "--out", str(out_dir)]
+            )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_status_without_journal_errors(self, tmp_path, capsys):
         assert main(
             ["campaign", "status", "--out", str(tmp_path / "none")]
